@@ -3,6 +3,8 @@
 // wall-clock budget of the paper-reproduction suite.
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "index/bplus_tree.hpp"
@@ -168,36 +170,53 @@ void BM_LogRecordEncodeDecode(benchmark::State& state) {
 BENCHMARK(BM_LogRecordEncodeDecode);
 
 void BM_RedoApplyPlanReplay(benchmark::State& state) {
-  // Phase-two replay cost in isolation: stage a batch of DML records
-  // spread across the table's pages, then drain the partitioned plan
-  // (fetch + guard + apply + mark_dirty). Single-worker by construction —
-  // the simulator is single-threaded per instance — so this tracks the
-  // per-record apply cost the parallel workers each pay.
+  // Phase-two replay cost in isolation: stage range(0) DML records
+  // round-robin over the table's pages, then drain the partitioned plan
+  // (fetch + guard + apply + mark_dirty) at replay_jobs = range(1). One
+  // plan serves every iteration, as in a replay driver. 19 records over 19
+  // pages is a point-in-time replay drain (one TPC-C commit between
+  // barriers), 512 a mid-sized drain, and 65536 a drain large enough
+  // for the pool to pay off (the "width" counter shows the workers used).
+  const auto drain_records = static_cast<std::size_t>(state.range(0));
+  engine::DatabaseConfig cfg = testing::small_db_config();
+  cfg.replay_jobs = static_cast<unsigned>(state.range(1));
   testing::SimEnv env;
-  testing::SmallDb db(env, testing::small_db_config());
+  testing::SmallDb db(env, cfg);
+  auto created = db.db->create_table("replay", "USERS", 256, db.user);
+  VDB_CHECK(created.is_ok());
+  const TableId table = created.value();
   std::vector<std::uint8_t> payload(48, 1);
-  for (int i = 0; i < 512; ++i) {
+  for (int i = 0; i < 768; ++i) {
     auto txn = db.db->begin();
-    (void)db.db->insert(txn.value(), db.table, payload);
+    (void)db.db->insert(txn.value(), table, payload);
     (void)db.db->commit(txn.value());
   }
-  std::vector<RowId> rids;
-  (void)db.db->scan(db.table, [&](RowId rid, std::span<const std::uint8_t>) {
-    rids.push_back(rid);
+  // Rows grouped by page, then dealt one page at a time so any prefix of
+  // `rids` touches as many distinct pages as it can.
+  std::map<PageId, std::vector<RowId>> by_page;
+  (void)db.db->scan(table, [&](RowId rid, std::span<const std::uint8_t>) {
+    by_page[rid.page].push_back(rid);
     return true;
   });
+  std::vector<RowId> rids;
+  for (std::size_t row = 0; rids.size() < drain_records; ++row) {
+    for (const auto& [page, rows] : by_page) {
+      if (rids.size() < drain_records) rids.push_back(rows[row % rows.size()]);
+    }
+  }
 
   wal::LogRecord rec;
   rec.type = wal::LogRecordType::kUpdate;
   rec.txn = TxnId{9001};
-  rec.dml.table = db.table;
+  rec.dml.table = table;
   rec.dml.before = payload;
   rec.dml.after = payload;
   rec.dml.after[0] = 2;
   Lsn lsn = Lsn{1} << 40;  // above anything the workload wrote
   db.db->set_recovering(true);
+  engine::RedoApplyPlan plan = db.db->make_replay_plan();
+  unsigned width = 0;
   for (auto _ : state) {
-    engine::RedoApplyPlan plan = db.db->make_replay_plan();
     for (const RowId& rid : rids) {
       rec.lsn = lsn++;
       rec.dml.rid = rid;
@@ -205,12 +224,16 @@ void BM_RedoApplyPlanReplay(benchmark::State& state) {
     }
     auto stats = plan.drain();
     VDB_CHECK(stats.is_ok());
+    width = stats.value().apply_width;
     benchmark::DoNotOptimize(stats.value().applied);
   }
+  state.counters["width"] = width;
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(rids.size()));
 }
-BENCHMARK(BM_RedoApplyPlanReplay);
+BENCHMARK(BM_RedoApplyPlanReplay)
+    ->ArgNames({"records", "jobs"})
+    ->ArgsProduct({{19, 512, 65536}, {1, 4}});
 
 void BM_InstanceRecoveryReplay(benchmark::State& state) {
   // End-to-end instance recovery: a workload of committed single-row

@@ -1,5 +1,6 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <thread>

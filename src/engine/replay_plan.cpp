@@ -100,11 +100,6 @@ void RedoApplyPlan::apply_run(Run& run) const {
   storage::Page* page = run.ref.page();
   for (std::size_t idx : run.items) {
     const wal::LogRecord& rec = records_[idx];
-    // Guard-skipped records (change already on the page) count as applied,
-    // matching the serial path where apply_record returns ok for them.
-    // The counter update runs on the worker pool — one relaxed atomic add.
-    run.applied += 1;
-    applied_counter_->inc();
     if (rec.lsn <= page->lsn()) continue;
     switch (rec.type) {
       case wal::LogRecordType::kInsert:
@@ -120,6 +115,22 @@ void RedoApplyPlan::apply_run(Run& run) const {
     page->set_lsn(rec.lsn);
     if (run.first_applied == kInvalidLsn) run.first_applied = rec.lsn;
   }
+  // Guard-skipped records (change already on the page) count as applied,
+  // matching the serial path where apply_record returns ok for them. The
+  // counter update runs on the worker pool: one relaxed atomic add per
+  // run, since a per-record add bounces the counter's cache line between
+  // workers.
+  applied_counter_->inc(run.items.size());
+}
+
+unsigned RedoApplyPlan::apply_width(std::size_t records,
+                                    std::size_t runs) const {
+  // Small chunks return before resolve_jobs, so the common archive-replay
+  // drain (one commit's worth of records) never consults VDB_JOBS.
+  const std::size_t wanted = records / kMinRecordsPerWorker;
+  if (wanted <= 1 || runs <= 1) return 1;
+  const std::size_t jobs = resolve_jobs(hooks_.jobs);
+  return static_cast<unsigned>(std::min({wanted, runs, jobs}));
 }
 
 Result<RedoApplyPlan::Stats> RedoApplyPlan::drain() {
@@ -219,17 +230,28 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
     // and charge the apply share of the replay CPU in deterministic order.
     std::vector<std::size_t> parallel_runs;
     parallel_runs.reserve(end - begin);
+    std::size_t parallel_records = 0;
     for (std::size_t s = begin; s < end; ++s) {
       Run& run = runs_[selected[s]];
       if (hooks_.charge_apply) hooks_.charge_apply(run.items.size());
       failure = prepare_run(run, &stats);
       if (!failure.is_ok()) break;
-      if (run.ref.valid()) parallel_runs.push_back(selected[s]);
+      if (run.ref.valid()) {
+        parallel_runs.push_back(selected[s]);
+        parallel_records += run.items.size();
+      }
     }
 
-    // Parallel apply: disjoint pinned pages, in-memory writes only.
-    parallel_for(parallel_runs.size(), hooks_.jobs,
-                 [&](std::size_t i) { apply_run(runs_[parallel_runs[i]]); });
+    // Parallel apply: disjoint pinned pages, in-memory writes only. The
+    // width comes from the record count alone, decided here on the scan
+    // thread; a chunk too small to repay starting workers applies inline.
+    if (!parallel_runs.empty()) {
+      const unsigned width =
+          apply_width(parallel_records, parallel_runs.size());
+      stats.apply_width = std::max(stats.apply_width, width);
+      parallel_for(parallel_runs.size(), width,
+                   [&](std::size_t i) { apply_run(runs_[parallel_runs[i]]); });
+    }
 
     // Serial finalize: dirty-mark with the first applied LSN (a checkpoint
     // taken mid-recovery must know how far back this page's changes reach),
@@ -240,7 +262,7 @@ Result<RedoApplyPlan::Stats> RedoApplyPlan::drain_runs(
         if (run.first_applied != kInvalidLsn) {
           hooks_.storage->mark_dirty(run.page, run.first_applied);
         }
-        stats.applied += run.applied;
+        stats.applied += run.items.size();
         run.ref = storage::PageRef{};
       }
       run.done = true;

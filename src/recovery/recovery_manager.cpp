@@ -198,8 +198,13 @@ Result<RecoveryReport> RecoveryManager::replay_from(
         if (engine::RedoApplyPlan::wants(rec.type)) {
           plan.stage(rec);
         } else {
-          // Serial barrier: DDL and transaction bookkeeping records must
-          // see every staged page change applied before they run.
+          // Serial barrier: DDL must see every staged page change applied
+          // before it runs. Bookkeeping records (commit, abort,
+          // checkpoint, 2PC) are no-ops in apply_record, but draining at
+          // them fixes the order of the page fetches, and the simulated
+          // clock charges each fetch miss as a foreground read: moving
+          // these drains changes simulated throughput and reads per
+          // transaction.
           Status st = drain_plan();
           if (st.is_ok()) st = db.apply_record(rec);
           if (!st.is_ok()) {

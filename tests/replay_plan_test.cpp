@@ -257,5 +257,84 @@ TEST(ReplayPlanTest, TpccCrashRecoveryConsistentAcrossJobs) {
   EXPECT_GT(serial.orders, 0u);
 }
 
+// Drain width: a chunk's apply runs on min(records / kMinRecordsPerWorker,
+// runs, replay_jobs) workers. The scenarios above stage too few records to
+// reach the pool, so these stage DML records directly (as a replay scan
+// would) to pin both sides of the threshold, and check the pooled drain
+// leaves the same pages and counts as an inline one.
+struct DrainOutcome {
+  RedoApplyPlan::Stats stats;
+  std::vector<std::vector<std::uint8_t>> pages;
+};
+
+DrainOutcome drain_staged(unsigned jobs, std::size_t records) {
+  SimEnv env;
+  engine::DatabaseConfig cfg = small_db_config();
+  cfg.replay_jobs = jobs;
+  SmallDb small(env, cfg);
+  engine::Database& db = *small.db;
+  std::vector<RowId> rids;
+  std::vector<PageId> pages;
+  for (int i = 0; i < 600; ++i) {
+    rids.push_back(put_row(db, small.table, "row" + std::to_string(i)));
+    if (pages.empty() || pages.back() != rids.back().page) {
+      pages.push_back(rids.back().page);
+    }
+  }
+  VDB_CHECK(pages.size() > 4);  // enough runs for four workers
+
+  db.set_recovering(true);
+  RedoApplyPlan plan = db.make_replay_plan();
+  wal::LogRecord rec;
+  rec.txn = TxnId{9001};
+  rec.dml.table = small.table;
+  const Lsn base = Lsn{1} << 40;  // above anything the workload wrote
+  for (std::size_t i = 0; i < records; ++i) {
+    rec.lsn = base + i;
+    rec.dml.rid = rids[(i * 7) % rids.size()];
+    // Every 13th record deletes its row; a later update refills the slot.
+    rec.type = i % 13 == 0 ? wal::LogRecordType::kDelete
+                           : wal::LogRecordType::kUpdate;
+    rec.dml.after = row("v" + std::to_string(i));
+    plan.stage(rec);
+  }
+  auto stats = plan.drain();
+  VDB_CHECK_MSG(stats.is_ok(), stats.status().to_string());
+
+  DrainOutcome out;
+  out.stats = stats.value();
+  for (PageId pid : pages) {
+    auto ref = db.storage().fetch(pid);
+    VDB_CHECK(ref.is_ok());
+    const auto bytes = ref.value()->bytes();
+    out.pages.emplace_back(bytes.begin(), bytes.end());
+  }
+  return out;
+}
+
+TEST(ReplayPlanTest, LargeDrainRunsPoolAndMatchesInline) {
+  const std::size_t records = 4 * RedoApplyPlan::kMinRecordsPerWorker;
+  const DrainOutcome serial = drain_staged(1, records);
+  const DrainOutcome pooled = drain_staged(4, records);
+  EXPECT_EQ(serial.stats.apply_width, 1u);  // replay_jobs caps the width
+  EXPECT_EQ(pooled.stats.apply_width, 4u);  // four workers ran the apply
+  EXPECT_EQ(serial.stats.applied, records);
+  EXPECT_EQ(serial.stats.applied, pooled.stats.applied);
+  EXPECT_EQ(serial.stats.skipped, pooled.stats.skipped);
+  EXPECT_EQ(serial.pages, pooled.pages);
+}
+
+TEST(ReplayPlanTest, DrainWidthFollowsRecordCount) {
+  // Just below two workers' worth the chunk applies inline; at it, two
+  // workers share the chunk.
+  const std::size_t threshold = 2 * RedoApplyPlan::kMinRecordsPerWorker;
+  const DrainOutcome below = drain_staged(4, threshold - 1);
+  EXPECT_EQ(below.stats.apply_width, 1u);
+  EXPECT_EQ(below.stats.applied, threshold - 1);
+  const DrainOutcome at = drain_staged(4, threshold);
+  EXPECT_EQ(at.stats.apply_width, 2u);
+  EXPECT_EQ(at.stats.applied, threshold);
+}
+
 }  // namespace
 }  // namespace vdb::engine
