@@ -38,7 +38,7 @@
 #include "sim/scheduler.hpp"
 #include "storage/storage_manager.hpp"
 #include "storage/table_heap.hpp"
-#include "txn/lock_manager.hpp"
+#include "txn/coordinator.hpp"
 #include "txn/txn_manager.hpp"
 #include "wal/archiver.hpp"
 #include "wal/log_record.hpp"
@@ -302,19 +302,22 @@ class Database {
 
   // --- concurrent execution (transaction coordinator) ---------------------------
 
-  /// Installs a concurrency-control delegate and switches the instance to
-  /// concurrent mode: row-conflict mediation moves from the internal lock
-  /// manager to the delegate, commits validate/publish through it, and
-  /// every transaction entry point serializes behind the coordinator
-  /// latch so worker threads can share the engine (redo arena staging,
-  /// group commit, buffer cache). Passing nullptr uninstalls the delegate
-  /// and returns to the serial fast path. The delegate must outlive its
-  /// installation.
+  /// Installs a coordinator's concurrency-control delegate and switches the
+  /// instance to concurrent mode: row-conflict mediation and commit-time
+  /// validate/publish go through the delegate, waitable accesses may block
+  /// in it, and every transaction entry point serializes behind the
+  /// coordinator latch so worker threads can share the engine (redo arena
+  /// staging, group commit, buffer cache). Passing nullptr returns to
+  /// serial mode, where the instance's own non-waiting 2PL control
+  /// mediates. The delegate must outlive its installation.
   void set_concurrency_control(txn::ConcurrencyControl* cc) {
-    cc_ = cc;
     concurrent_ = (cc != nullptr);
+    cc_ = concurrent_ ? cc : serial_cc_.get();
   }
-  txn::ConcurrencyControl* concurrency_control() const { return cc_; }
+  /// The installed coordinator delegate; nullptr in serial mode.
+  txn::ConcurrencyControl* concurrency_control() const {
+    return concurrent_ ? cc_ : nullptr;
+  }
 
   /// ALTER SYSTEM SET CC: the protocol the next coordinator run uses.
   void set_cc_protocol(txn::CcProtocol p) { cfg_.cc_protocol = p; }
@@ -333,7 +336,6 @@ class Database {
   wal::RedoLog& redo() { return *redo_; }
   wal::Archiver& archiver() { return *archiver_; }
   txn::TxnManager& txns() { return txns_; }
-  txn::LockManager& locks() { return locks_; }
   catalog::Catalog& cat() { return catalog_; }
   sim::Host& host() { return *host_; }
   sim::Scheduler& scheduler() { return *scheduler_; }
@@ -351,7 +353,8 @@ class Database {
   void advance(SimDuration d) { scheduler_->clock().advance_by(d); }
 
   /// Coordinator latch: held for the body of every transaction entry point
-  /// while a ConcurrencyControl is installed; a no-op lock in serial mode.
+  /// while a coordinator's delegate is installed; a no-op lock in serial
+  /// mode.
   /// Recursive because commit -> group-commit flush -> log-switch
   /// checkpoint re-enters the engine on the same thread.
   std::unique_lock<std::recursive_mutex> coord_guard() {
@@ -402,7 +405,6 @@ class Database {
   std::unique_ptr<wal::Archiver> archiver_;
   std::unique_ptr<storage::StorageManager> storage_;
   txn::TxnManager txns_;
-  txn::LockManager locks_;
   catalog::Catalog catalog_;
   std::unordered_map<std::uint32_t, std::unique_ptr<storage::TableHeap>>
       heaps_;
@@ -425,8 +427,11 @@ class Database {
   /// encoding is deterministic.
   std::map<std::uint64_t, InDoubtBranch> in_doubt_;
   std::map<std::uint64_t, bool> coord_decisions_;
-  /// Concurrent-mode state (see set_concurrency_control).
-  txn::ConcurrencyControl* cc_ = nullptr;
+  /// Row-conflict mediation (see set_concurrency_control): cc_ is the
+  /// installed coordinator delegate in concurrent mode, else serial_cc_.
+  std::unique_ptr<txn::ConcurrencyControl> serial_cc_ =
+      txn::make_concurrency_control(txn::CcProtocol::k2pl);
+  txn::ConcurrencyControl* cc_ = serial_cc_.get();
   bool concurrent_ = false;
   std::recursive_mutex coord_latch_;
 };

@@ -16,6 +16,7 @@
 #include "fleet/fleet.hpp"
 #include "fleet/fleet_txns.hpp"
 #include "obs/metrics.hpp"
+#include "tpcc/tpcc_driver.hpp"
 
 namespace vdb::fleet {
 
@@ -68,16 +69,13 @@ class FleetDriver {
                            SimTime before) const;
 
  private:
-  tpcc::TxnType pick_type();
-
   Fleet* fleet_;
   obs::Observability* obs_;
   FleetDriverConfig cfg_;
   SimTime series_origin_ = 0;
   tpcc::TpccRandom random_;
   FleetTxns txns_;
-  std::array<tpcc::TxnType, 23> deck_{};
-  size_t deck_pos_ = 0;
+  tpcc::TxnDeck deck_;
   FleetDriverStats stats_;
   std::vector<FleetCommitRecord> commits_;
   std::vector<std::uint32_t> series_;

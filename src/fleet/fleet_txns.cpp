@@ -65,25 +65,6 @@ Result<FleetOutcome> FleetTxns::delegate(tpcc::TxnType type,
   return out;
 }
 
-Result<RowId> FleetTxns::select_customer(std::uint32_t cw,
-                                         std::uint32_t cd) {
-  tpcc::TpccDb& tdb = fleet_->tdb(fleet_->shard_of(cw));
-  Rng& rng = random_->rng();
-  if (rng.chance(0.60)) {
-    const std::string last = random_->nurand_last_name();
-    auto matches = tdb.customers_by_name(cw, cd, last);
-    if (!matches.empty()) {
-      return matches[matches.size() / 2].second;
-    }
-  }
-  const std::uint32_t c = random_->nurand_customer_id();
-  auto rid = tdb.customer_rid(cw, cd, c);
-  if (!rid.has_value()) {
-    return Status{ErrorCode::kNotFound, "customer missing from index"};
-  }
-  return *rid;
-}
-
 Result<TxnId> FleetTxns::branch_txn(std::map<std::uint32_t, TxnId>* branches,
                                     std::uint32_t shard) {
   auto it = branches->find(shard);
@@ -272,7 +253,7 @@ Result<FleetOutcome> FleetTxns::new_order(std::uint32_t w) {
   Status st = htdb.update_row(txn, tpcc::Tbl::kDistrict, *d_rid, new_dist);
   if (!st.is_ok()) return fail(st);
 
-  auto c_rid = select_customer(w, d);
+  auto c_rid = local_[home]->select_customer(w, d);
   if (!c_rid.is_ok()) return fail(c_rid.status());
   auto cust = htdb.read_row<tpcc::CustomerRow>(txn, tpcc::Tbl::kCustomer,
                                                c_rid.value());
@@ -425,7 +406,7 @@ Result<FleetOutcome> FleetTxns::payment(std::uint32_t w) {
   auto c_txn = branch_txn(&branches, cshard);
   if (!c_txn.is_ok()) return fail(c_txn.status());
 
-  auto c_rid = select_customer(c_w, c_d);
+  auto c_rid = local_[cshard]->select_customer(c_w, c_d);
   if (!c_rid.is_ok()) return fail(c_rid.status());
   auto cust = ctdb.read_row<tpcc::CustomerRow>(c_txn.value(),
                                                tpcc::Tbl::kCustomer,

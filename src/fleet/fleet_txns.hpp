@@ -77,9 +77,6 @@ class FleetTxns {
   Result<FleetOutcome> payment(std::uint32_t w);
   Result<FleetOutcome> delegate(tpcc::TxnType type, std::uint32_t w);
 
-  /// 60%/40% customer selection against the shard that owns warehouse cw.
-  Result<RowId> select_customer(std::uint32_t cw, std::uint32_t cd);
-
   /// Lazily opens a branch transaction on `shard`.
   Result<TxnId> branch_txn(std::map<std::uint32_t, TxnId>* branches,
                            std::uint32_t shard);

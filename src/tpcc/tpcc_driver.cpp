@@ -5,25 +5,30 @@
 
 namespace vdb::tpcc {
 
-namespace {
+TxnDeck::TxnDeck(Rng& rng) {
+  size_t i = 0;
+  for (int k = 0; k < 10; ++k) cards_[i++] = TxnType::kNewOrder;
+  for (int k = 0; k < 10; ++k) cards_[i++] = TxnType::kPayment;
+  cards_[i++] = TxnType::kOrderStatus;
+  cards_[i++] = TxnType::kDelivery;
+  cards_[i++] = TxnType::kStockLevel;
+  shuffle(rng);
+}
 
-void shuffle_deck(std::array<TxnType, 23>& deck, Rng& rng) {
-  for (size_t k = deck.size(); k > 1; --k) {
-    std::swap(deck[k - 1], deck[static_cast<size_t>(rng.uniform(
-                               0, static_cast<std::int64_t>(k) - 1))]);
+TxnType TxnDeck::draw(Rng& rng) {
+  if (pos_ >= cards_.size()) {
+    pos_ = 0;
+    shuffle(rng);
+  }
+  return cards_[pos_++];
+}
+
+void TxnDeck::shuffle(Rng& rng) {
+  for (size_t k = cards_.size(); k > 1; --k) {
+    std::swap(cards_[k - 1], cards_[static_cast<size_t>(rng.uniform(
+                                 0, static_cast<std::int64_t>(k) - 1))]);
   }
 }
-
-void fill_deck(std::array<TxnType, 23>& deck) {
-  size_t i = 0;
-  for (int k = 0; k < 10; ++k) deck[i++] = TxnType::kNewOrder;
-  for (int k = 0; k < 10; ++k) deck[i++] = TxnType::kPayment;
-  deck[i++] = TxnType::kOrderStatus;
-  deck[i++] = TxnType::kDelivery;
-  deck[i++] = TxnType::kStockLevel;
-}
-
-}  // namespace
 
 /// One terminal emulator of the concurrent driver: a private input stream
 /// (rng, card deck) and transaction runner, so worker k draws the same
@@ -31,31 +36,18 @@ void fill_deck(std::array<TxnType, 23>& deck) {
 struct Driver::WorkerState {
   TpccRandom random;
   TpccTxns txns;
-  std::array<TxnType, 23> deck{};
-  size_t deck_pos = 0;
+  TxnDeck deck;
 
   WorkerState(TpccDb* db, std::uint64_t seed)
-      : random(Rng{seed}, db->scale()), txns(db, &random) {
-    fill_deck(deck);
-    shuffle_deck(deck, random.rng());
-  }
-
-  TxnType pick_type() {
-    if (deck_pos >= deck.size()) {
-      deck_pos = 0;
-      shuffle_deck(deck, random.rng());
-    }
-    return deck[deck_pos++];
-  }
+      : random(Rng{seed}, db->scale()), txns(db, &random),
+        deck(random.rng()) {}
 };
 
 Driver::Driver(TpccDb* db, sim::Scheduler* scheduler, DriverConfig cfg)
     : db_(db), scheduler_(scheduler), cfg_(cfg),
       series_origin_(scheduler->now()),
-      random_(Rng{cfg.seed}, db->scale()), txns_(db, &random_) {
-  fill_deck(deck_);
-  // Initial shuffle; the deck is reshuffled every pass.
-  shuffle_deck(deck_, random_.rng());
+      random_(Rng{cfg.seed}, db->scale()), txns_(db, &random_),
+      deck_(random_.rng()) {
   if (cfg_.workers > 1) {
     txn::TxnCoordinator::Config ccfg;
     ccfg.workers = cfg_.workers;
@@ -69,18 +61,6 @@ Driver::Driver(TpccDb* db, sim::Scheduler* scheduler, DriverConfig cfg)
 }
 
 Driver::~Driver() = default;
-
-TxnType Driver::pick_type() {
-  if (deck_pos_ >= deck_.size()) {
-    deck_pos_ = 0;
-    Rng& rng = random_.rng();
-    for (size_t k = deck_.size(); k > 1; --k) {
-      std::swap(deck_[k - 1], deck_[static_cast<size_t>(rng.uniform(
-                                  0, static_cast<std::int64_t>(k) - 1))]);
-    }
-  }
-  return deck_[deck_pos_++];
-}
 
 Status Driver::run_until(SimTime until) {
   obs::MetricsRegistry& registry = db_->db().obs().registry();
@@ -97,13 +77,13 @@ Status Driver::run_serial(SimTime until) {
     scheduler_->run_due();
     if (clock.now() >= until) break;
 
-    const TxnType type = pick_type();
+    const TxnType type = deck_.draw(random_.rng());
     const std::uint32_t w = random_.warehouse_id();
     const SimTime begin = clock.now();
     auto outcome = txns_.run(type, w);
     if (!outcome.is_ok()) {
       const ErrorCode code = outcome.code();
-      if (code == ErrorCode::kDeadlock || code == ErrorCode::kLockTimeout) {
+      if (code == ErrorCode::kDeadlock) {
         stats_.lock_retries += 1;
         continue;
       }
@@ -188,7 +168,7 @@ Status Driver::run_concurrent(SimTime until) {
       WorkerState& ws = *workers_[k];
       sim::VirtualClock::install_local_sink(&r.sink);
       for (int attempt = 0; attempt < 64; ++attempt) {
-        const TxnType type = ws.pick_type();
+        const TxnType type = ws.deck.draw(ws.random.rng());
         const std::uint32_t w = ws.random.warehouse_id();
         const SimDuration begin_offset = r.sink;
         auto outcome = ws.txns.run(type, w);
@@ -196,8 +176,8 @@ Status Driver::run_concurrent(SimTime until) {
           const ErrorCode code = outcome.code();
           // kNotFound covers stale access-path races (e.g. two Delivery
           // transactions draining the same oldest NEW-ORDER entry).
-          if (code == ErrorCode::kDeadlock || code == ErrorCode::kLockTimeout ||
-              code == ErrorCode::kTxnAborted || code == ErrorCode::kNotFound) {
+          if (code == ErrorCode::kDeadlock || code == ErrorCode::kTxnAborted ||
+              code == ErrorCode::kNotFound) {
             r.cc_retries += 1;
             continue;
           }

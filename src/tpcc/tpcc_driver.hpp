@@ -31,11 +31,27 @@ struct DriverConfig {
   /// eventually drains the page and the retry goes through.
   SimDuration recovery_retry_backoff = 100 * kMillisecond;
   /// Terminal emulators running concurrently. 1 keeps the original serial
-  /// closed loop (no coordinator, no concurrency control — byte-identical
-  /// behaviour); >1 drives the engine through a TxnCoordinator with
-  /// `cc_protocol` mediating row conflicts.
+  /// closed loop (no coordinator; the engine's own non-waiting 2PL control
+  /// mediates — byte-identical behaviour); >1 drives the engine through a
+  /// TxnCoordinator with `cc_protocol` mediating row conflicts.
   unsigned workers = 1;
   txn::CcProtocol cc_protocol = txn::CcProtocol::k2pl;
+};
+
+/// The transaction-type card deck: 10 New-Order, 10 Payment, 1 each of
+/// the rest, per the spec's minimum-percentage mix (45/43/4/4/4). Shuffled
+/// with the terminal's own random stream at construction and after every
+/// pass, so the type sequence is a pure function of that stream.
+class TxnDeck {
+ public:
+  explicit TxnDeck(Rng& rng);
+  TxnType draw(Rng& rng);
+
+ private:
+  void shuffle(Rng& rng);
+
+  std::array<TxnType, 23> cards_;
+  size_t pos_ = 0;
 };
 
 struct CommitRecord {
@@ -99,7 +115,6 @@ class Driver {
  private:
   struct WorkerState;
 
-  TxnType pick_type();
   Status run_serial(SimTime until);
   Status run_concurrent(SimTime until);
 
@@ -112,10 +127,7 @@ class Driver {
   std::vector<CommitRecord> commits_;
   std::vector<std::uint32_t> series_;
   DriverStats stats_;
-  /// Card-deck mix: 10 New-Order, 10 Payment, 1 each of the rest, per the
-  /// spec's minimum-percentage mix (45/43/4/4/4).
-  std::array<TxnType, 23> deck_;
-  size_t deck_pos_ = 0;
+  TxnDeck deck_;
   /// Per-type response-time histograms ("client response NewOrder", ...),
   /// re-resolved at every run_until() call: a crash-restart cycle swaps in
   /// a new Database incarnation, and with it possibly a new statistics

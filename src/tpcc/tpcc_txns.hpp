@@ -48,10 +48,10 @@ class TpccTxns {
   Result<TxnOutcome> delivery(std::uint32_t w);
   Result<TxnOutcome> stock_level(std::uint32_t w);
 
- private:
   /// 60%: by last name (median match); 40%: by NURand id.
   Result<RowId> select_customer(std::uint32_t w, std::uint32_t d);
 
+ private:
   TpccDb* db_;
   TpccRandom* random_;
 };

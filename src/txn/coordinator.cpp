@@ -58,6 +58,11 @@ class CcBase : public ConcurrencyControl {
     return stats_;
   }
 
+  size_t locked_count() const override {
+    std::lock_guard<std::mutex> lk(mu_);
+    return table_.size();
+  }
+
   void set_observability(obs::Observability* obs) override {
     std::lock_guard<std::mutex> lk(mu_);
     if (obs == nullptr) {
@@ -75,19 +80,24 @@ class CcBase : public ConcurrencyControl {
   }
 
  protected:
+  /// One locked resource. An entry exists only while it has a holder or a
+  /// blocked waiter: the waiter count keeps a released entry, and the
+  /// `release_offset` its waiters read, alive until they have woken.
   struct Entry {
     bool exclusive = false;
-    std::vector<TxnId> holders;
+    std::vector<TxnId> holders;  // distinct: re-acquisition adds nobody
+    std::uint32_t waiters = 0;   // blocked in mediate on this resource
     /// Sink offset of the most recent releaser this round; woken waiters
     /// raise their private timeline to it.
     SimDuration release_offset = 0;
   };
+  using Table = std::map<LockTarget, Entry>;
 
   struct Ctx {
     TxnId id{};
     std::thread::id owner;
     SimDuration begin_offset = 0;  // sink offset at first mediation
-    std::vector<LockTarget> held;
+    std::vector<LockTarget> held;  // distinct, in grant order
     /// OCC read set: target -> version observed at first read.
     std::map<LockTarget, std::uint64_t> read_versions;
   };
@@ -104,18 +114,23 @@ class CcBase : public ConcurrencyControl {
     return it->second;
   }
 
-  bool holds(const Ctx& ctx, const LockTarget& t) const {
-    return std::find(ctx.held.begin(), ctx.held.end(), t) != ctx.held.end();
+  static bool is_holder(const Entry& e, TxnId txn) {
+    return std::find(e.holders.begin(), e.holders.end(), txn) !=
+           e.holders.end();
   }
 
-  /// True if `txn` may take the lock now (including re-grant / upgrade by
-  /// the sole holder).
-  static bool can_grant(const Entry& e, TxnId txn, bool exclusive) {
+  bool holds_locked(TxnId txn, const LockTarget& t) const {
+    auto it = table_.find(t);
+    return it != table_.end() && is_holder(it->second, txn);
+  }
+
+  /// True if a request may be granted now: a free resource, re-acquisition
+  /// by a holder (shared->exclusive only as the sole holder), or shared
+  /// alongside other shared holders.
+  static bool can_grant(const Entry& e, bool holder, bool exclusive) {
     if (e.holders.empty()) return true;
-    if (e.holders.size() == 1 && e.holders[0] == txn) return true;
-    if (e.exclusive) return false;
-    if (exclusive) return false;
-    return true;  // shared with other shared holders
+    if (holder) return !exclusive || e.exclusive || e.holders.size() == 1;
+    return !e.exclusive && !exclusive;
   }
 
   /// Wait-die: may wait only if strictly older than every conflicting
@@ -127,48 +142,67 @@ class CcBase : public ConcurrencyControl {
     return true;
   }
 
+  /// Blocks on `e` until woken; `mu_` must be held through `lk`. The
+  /// waiter count pins the entry (and its reference) across the wait.
+  void wait_on_locked(std::unique_lock<std::mutex>& lk, Entry& e) {
+    e.waiters += 1;
+    waiters_.wait(lk);
+    e.waiters -= 1;
+  }
+
+  /// A blocked request went through: inherit the releaser's instant and
+  /// charge the difference to enq_lock_wait.
+  void charge_wait_locked(const Entry& e, SimDuration entered_at) {
+    sim::VirtualClock::raise_local(e.release_offset);
+    const SimDuration waited = sim::VirtualClock::local_elapsed() - entered_at;
+    stats_.lock_waits += 1;
+    if (lock_waits_ != nullptr) lock_waits_->inc();
+    if (waits_ != nullptr && waited > 0) {
+      waits_->add_wait(obs::WaitEvent::kEnqLockWait, waited);
+    }
+  }
+
+  Status die_locked(const char* why) {
+    stats_.wait_die_aborts += 1;
+    if (wait_die_aborts_ != nullptr) wait_die_aborts_->inc();
+    return make_error(ErrorCode::kDeadlock, why);
+  }
+
   /// Grants or wait-die-aborts one lock request. Returns kDeadlock when
   /// the requester must die. `mu_` must be held; may release it while
   /// blocked.
-  Status acquire_locked(std::unique_lock<std::mutex>& lk, TxnId txn,
+  Status acquire_locked(std::unique_lock<std::mutex>& lk, Ctx& ctx,
                         const LockTarget& target, bool exclusive,
                         bool may_wait) {
-    bool blocked = false;
+    const TxnId txn = ctx.id;
     const SimDuration entered_at = sim::VirtualClock::local_elapsed();
+    bool blocked = false;
+    Entry& e = table_[target];  // std::map: reference stable across waits
     for (;;) {
-      Entry& e = table_[target];  // std::map: reference stable across waits
-      if (can_grant(e, txn, exclusive)) {
-        if (e.holders.empty()) {
+      const bool holder = is_holder(e, txn);
+      if (can_grant(e, holder, exclusive)) {
+        if (!holder) {
           e.holders.push_back(txn);
-          e.exclusive = exclusive;
-        } else if (e.holders.size() == 1 && e.holders[0] == txn) {
-          e.exclusive = e.exclusive || exclusive;
-        } else {
-          e.holders.push_back(txn);
+          ctx.held.push_back(target);
         }
-        Ctx& ctx = ensure_ctx_locked(txn);
-        if (!holds(ctx, target)) ctx.held.push_back(target);
-        if (blocked) {
-          sim::VirtualClock::raise_local(e.release_offset);
-          const SimDuration waited =
-              sim::VirtualClock::local_elapsed() - entered_at;
-          stats_.lock_waits += 1;
-          if (lock_waits_ != nullptr) lock_waits_->inc();
-          if (waits_ != nullptr && waited > 0) {
-            waits_->add_wait(obs::WaitEvent::kEnqLockWait, waited);
-          }
-        }
+        e.exclusive = e.exclusive || exclusive;
+        if (blocked) charge_wait_locked(e, entered_at);
         return Status::ok();
       }
       if (!may_wait || !older_than_all(e, txn)) {
-        stats_.wait_die_aborts += 1;
-        if (wait_die_aborts_ != nullptr) wait_die_aborts_->inc();
-        return make_error(ErrorCode::kDeadlock,
-                          "wait-die: conflicting lock held by an older or "
-                          "non-waitable request");
+        return die_locked(
+            "wait-die: conflicting lock held by an older or non-waitable "
+            "request");
       }
       blocked = true;
-      waiters_.wait(lk);
+      wait_on_locked(lk, e);
+    }
+  }
+
+  /// Drops `it` once nobody holds or waits on it.
+  void erase_if_idle_locked(Table::iterator it) {
+    if (it->second.holders.empty() && it->second.waiters == 0) {
+      table_.erase(it);
     }
   }
 
@@ -179,11 +213,12 @@ class CcBase : public ConcurrencyControl {
     for (const LockTarget& t : ctx.held) {
       auto it = table_.find(t);
       if (it == table_.end()) continue;
-      auto& holders = it->second.holders;
-      holders.erase(std::remove(holders.begin(), holders.end(), ctx.id),
-                    holders.end());
-      if (holders.empty()) it->second.exclusive = false;
-      it->second.release_offset = at;
+      Entry& e = it->second;
+      e.holders.erase(std::remove(e.holders.begin(), e.holders.end(), ctx.id),
+                      e.holders.end());
+      e.release_offset = at;
+      if (e.holders.empty()) e.exclusive = false;
+      erase_if_idle_locked(it);
     }
     ctx.held.clear();
     if (committed) {
@@ -209,7 +244,7 @@ class CcBase : public ConcurrencyControl {
 
   mutable std::mutex mu_;
   std::condition_variable waiters_;
-  std::map<LockTarget, Entry> table_;
+  Table table_;
   std::unordered_map<TxnId, Ctx> ctx_;
   CcStats stats_;
 
@@ -231,8 +266,7 @@ class TwoPhaseLockingCc final : public CcBase {
   Status mediate(TxnId txn, const LockTarget& target, AccessMode mode,
                  bool may_wait) override {
     std::unique_lock<std::mutex> lk(mu_);
-    ensure_ctx_locked(txn);
-    return acquire_locked(lk, txn, target,
+    return acquire_locked(lk, ensure_ctx_locked(txn), target,
                           /*exclusive=*/mode == AccessMode::kWrite, may_wait);
   }
 };
@@ -264,35 +298,24 @@ class OccCc final : public CcBase {
     std::unique_lock<std::mutex> lk(mu_);
     Ctx& ctx = ensure_ctx_locked(txn);
     if (mode == AccessMode::kRead) {
-      if (holds(ctx, target)) return Status::ok();  // own write
       // Wait out (or die to) a concurrent writer: with in-place updates
-      // the row's bytes are dirty until the writer resolves.
-      bool blocked = false;
-      const SimDuration entered_at = sim::VirtualClock::local_elapsed();
-      for (;;) {
-        Entry& e = table_[target];
-        if (e.holders.empty() ||
-            (e.holders.size() == 1 && e.holders[0] == txn)) {
-          if (blocked) {
-            sim::VirtualClock::raise_local(e.release_offset);
-            const SimDuration waited =
-                sim::VirtualClock::local_elapsed() - entered_at;
-            stats_.lock_waits += 1;
-            if (lock_waits_ != nullptr) lock_waits_->inc();
-            if (waits_ != nullptr && waited > 0) {
-              waits_->add_wait(obs::WaitEvent::kEnqLockWait, waited);
-            }
+      // the row's bytes are dirty until the writer resolves. Only writes
+      // lock, so a lookup (never an insert) finds any writer.
+      auto it = table_.find(target);
+      if (it != table_.end()) {
+        Entry& e = it->second;
+        if (is_holder(e, txn)) return Status::ok();  // own write
+        const SimDuration entered_at = sim::VirtualClock::local_elapsed();
+        bool blocked = false;
+        while (!e.holders.empty()) {
+          if (!may_wait || !older_than_all(e, txn)) {
+            return die_locked("wait-die: row write-locked by an older writer");
           }
-          break;
+          blocked = true;
+          wait_on_locked(lk, e);
         }
-        if (!may_wait || !older_than_all(e, txn)) {
-          stats_.wait_die_aborts += 1;
-          if (wait_die_aborts_ != nullptr) wait_die_aborts_->inc();
-          return make_error(ErrorCode::kDeadlock,
-                            "wait-die: row write-locked by an older writer");
-        }
-        blocked = true;
-        waiters_.wait(lk);
+        if (blocked) charge_wait_locked(e, entered_at);
+        erase_if_idle_locked(it);
       }
       ctx.read_versions.try_emplace(target, version_of(target));
       return Status::ok();
@@ -300,18 +323,17 @@ class OccCc final : public CcBase {
     // Write: exclusive wait-die lock, held to end. Whether the txn held
     // it before matters below; the bool survives the wait (only the txn
     // itself could change its own holdings, and it is blocked here).
-    const bool already_held = holds(ctx, target);
-    VDB_RETURN_IF_ERROR(acquire_locked(lk, txn, target, /*exclusive=*/true,
-                                       may_wait));
+    const bool already_held = holds_locked(txn, target);
+    VDB_RETURN_IF_ERROR(
+        acquire_locked(lk, ctx, target, /*exclusive=*/true, may_wait));
     // Early validation: writing a row this transaction read at a version
     // that has since moved is a guaranteed commit-time failure — die now,
     // before generating redo/undo for doomed work. Checked before the
     // txn's own intent bump so it never trips on itself.
-    Ctx& c = ctx_.find(txn)->second;
-    auto seen = c.read_versions.find(target);
-    if (seen != c.read_versions.end() &&
+    auto seen = ctx.read_versions.find(target);
+    if (seen != ctx.read_versions.end() &&
         seen->second != version_of(target)) {
-      charge_occ_fail_locked(c);
+      charge_occ_fail_locked(ctx);
       return make_error(ErrorCode::kTxnAborted,
                         "occ: read version moved before write");
     }
@@ -328,7 +350,7 @@ class OccCc final : public CcBase {
       // Targets this transaction write-locked are stable (only the lock
       // holder can publish); unlocked read-set entries must still be at
       // the observed version.
-      if (holds(ctx, target)) continue;
+      if (holds_locked(txn, target)) continue;
       if (version_of(target) != version) {
         charge_occ_fail_locked(ctx);
         return make_error(ErrorCode::kTxnAborted,

@@ -4,11 +4,13 @@
 // Two layers live here:
 //
 //  - ConcurrencyControl: the plug-in contract the engine delegates row
-//    conflict mediation to while a coordinator drives it. Two protocols
-//    ship: strict two-phase locking with wait-die deadlock avoidance
-//    (blocking waits, provably deadlock-free), and an OCC/TicToc-style
-//    scheme (version-stamped reads validated at commit, writes locked
-//    wait-die to keep in-place updates safe for logical undo).
+//    conflict mediation to. Two protocols ship: strict two-phase locking
+//    with wait-die deadlock avoidance (blocking waits, provably
+//    deadlock-free), and an OCC/TicToc-style scheme (version-stamped
+//    reads validated at commit, writes locked wait-die to keep in-place
+//    updates safe for logical undo). Every Database owns a 2PL instance
+//    for serial execution, where nothing may block (may_wait=false); a
+//    coordinator installs its own for the duration of a concurrent run.
 //
 //  - TxnCoordinator: the worker pool. Execution proceeds in *rounds*: the
 //    round driver freezes the global virtual clock, every worker runs one
@@ -38,7 +40,6 @@
 
 #include "common/status.hpp"
 #include "common/types.hpp"
-#include "txn/lock_manager.hpp"
 
 namespace vdb::obs {
 class Observability;
@@ -67,6 +68,18 @@ inline bool parse_cc_protocol(const std::string& s, CcProtocol* out) {
 }
 
 enum class AccessMode : std::uint8_t { kRead, kWrite };
+
+/// Lockable resource: a whole table or one row.
+struct LockTarget {
+  TableId table{};
+  RowId rid{RowId::invalid()};
+  bool whole_table = false;
+
+  static LockTarget for_table(TableId t) { return {t, RowId::invalid(), true}; }
+  static LockTarget for_row(TableId t, RowId r) { return {t, r, false}; }
+
+  auto operator<=>(const LockTarget&) const = default;
+};
 
 /// Aggregated protocol behaviour, reported per experiment.
 struct CcStats {
@@ -115,6 +128,10 @@ class ConcurrencyControl {
   virtual void release_thread_residue() = 0;
 
   virtual CcStats stats() const = 0;
+
+  /// Resources with a lock-table entry (diagnostics / tests): 0 once every
+  /// transaction has ended.
+  virtual size_t locked_count() const = 0;
 
   /// Wires abort counters and the enq_lock_wait / occ_validate_fail wait
   /// events into the instance's statistics area.

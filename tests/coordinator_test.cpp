@@ -3,18 +3,23 @@
 // exactly this suite under ThreadSanitizer.
 //
 // Covers: serial equivalence at workers=1, the 2PL vs OCC conflict matrix
-// through the plug-in contract, wait-die deadlock freedom under an 8-thread
-// stress load, throughput scaling, and crash-during-concurrent-execution
-// recovery — including the byte-identical replay at 1 vs 4 redo jobs.
+// through the plug-in contract, the 2PL lock table serial mode runs on
+// (re-entrancy, upgrades, a reference-model check, no leaked entries),
+// wait-die deadlock freedom under an 8-thread stress load, throughput
+// scaling, and crash-during-concurrent-execution recovery — including the
+// byte-identical replay at 1 vs 4 redo jobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "benchmark/experiment.hpp"
+#include "common/rng.hpp"
 #include "txn/coordinator.hpp"
 
 namespace vdb::bench {
@@ -195,6 +200,218 @@ TEST(ConcurrencyControl, OwnWriteThenReadNeedsNoVersionCheck) {
   EXPECT_EQ(cc->stats().committed, 1u);
 }
 
+// --- the 2PL lock table ------------------------------------------------------
+//
+// Serial mode mediates every row access through a 2PL control with
+// may_wait=false, so these pin the lock-table rules it relies on.
+
+std::unique_ptr<txn::ConcurrencyControl> two_pl() {
+  return txn::make_concurrency_control(txn::CcProtocol::k2pl);
+}
+
+Status acquire(txn::ConcurrencyControl& cc, std::uint64_t txn, std::uint32_t n,
+            txn::AccessMode mode, bool may_wait = false) {
+  return cc.mediate(tid(txn), target(n), mode, may_wait);
+}
+
+TEST(LockManager, SharedLocksCompatible) {
+  auto cc = two_pl();
+  EXPECT_TRUE(acquire(*cc, 1, 1, txn::AccessMode::kRead).is_ok());
+  EXPECT_TRUE(acquire(*cc, 2, 1, txn::AccessMode::kRead).is_ok());
+  EXPECT_EQ(cc->locked_count(), 1u);
+  // Both readers hold the row: a writer conflicts with either.
+  EXPECT_EQ(acquire(*cc, 3, 1, txn::AccessMode::kWrite).code(),
+            ErrorCode::kDeadlock);
+  EXPECT_EQ(cc->stats().wait_die_aborts, 1u);
+}
+
+TEST(LockManager, ExclusiveConflicts) {
+  auto cc = two_pl();
+  ASSERT_TRUE(acquire(*cc, 5, 1, txn::AccessMode::kWrite).is_ok());
+  // Older requester (2 < 5) that may not wait: dies instead of blocking.
+  EXPECT_EQ(acquire(*cc, 2, 1, txn::AccessMode::kWrite).code(),
+            ErrorCode::kDeadlock);
+  // Younger requester (9 > 5): wait-die kills it even when it may wait.
+  EXPECT_EQ(acquire(*cc, 9, 1, txn::AccessMode::kWrite, true).code(),
+            ErrorCode::kDeadlock);
+  EXPECT_EQ(cc->stats().wait_die_aborts, 2u);
+  EXPECT_EQ(cc->stats().lock_waits, 0u);
+}
+
+TEST(LockManager, SharedBlockedByExclusive) {
+  auto cc = two_pl();
+  ASSERT_TRUE(acquire(*cc, 5, 1, txn::AccessMode::kWrite).is_ok());
+  EXPECT_EQ(acquire(*cc, 9, 1, txn::AccessMode::kRead, true).code(),
+            ErrorCode::kDeadlock);  // younger
+  EXPECT_EQ(cc->locked_count(), 1u);
+}
+
+TEST(LockManager, Reacquisition) {
+  auto cc = two_pl();
+  ASSERT_TRUE(acquire(*cc, 1, 1, txn::AccessMode::kWrite).is_ok());
+  EXPECT_TRUE(acquire(*cc, 1, 1, txn::AccessMode::kWrite).is_ok());
+  EXPECT_TRUE(acquire(*cc, 1, 1, txn::AccessMode::kRead).is_ok());
+  // Still exclusive: another reader conflicts.
+  EXPECT_EQ(acquire(*cc, 2, 1, txn::AccessMode::kRead).code(),
+            ErrorCode::kDeadlock);
+  EXPECT_EQ(cc->locked_count(), 1u);
+}
+
+TEST(LockManager, UpgradeBySoleHolder) {
+  auto cc = two_pl();
+  ASSERT_TRUE(acquire(*cc, 1, 1, txn::AccessMode::kRead).is_ok());
+  EXPECT_TRUE(acquire(*cc, 1, 1, txn::AccessMode::kWrite).is_ok());
+  EXPECT_EQ(acquire(*cc, 2, 1, txn::AccessMode::kRead).code(),
+            ErrorCode::kDeadlock);
+}
+
+TEST(LockManager, UpgradeBlockedByOtherReaders) {
+  auto cc = two_pl();
+  ASSERT_TRUE(acquire(*cc, 1, 1, txn::AccessMode::kRead).is_ok());
+  ASSERT_TRUE(acquire(*cc, 2, 1, txn::AccessMode::kRead).is_ok());
+  EXPECT_EQ(acquire(*cc, 1, 1, txn::AccessMode::kWrite).code(),
+            ErrorCode::kDeadlock);
+}
+
+TEST(LockManager, TableAndRowAreDistinctResources) {
+  auto cc = two_pl();
+  ASSERT_TRUE(cc->mediate(tid(1), txn::LockTarget::for_table(TableId{1}),
+                          txn::AccessMode::kWrite, false)
+                  .is_ok());
+  EXPECT_TRUE(acquire(*cc, 2, 1, txn::AccessMode::kWrite).is_ok());
+  EXPECT_EQ(cc->locked_count(), 2u);
+}
+
+TEST(LockManager, ReleaseFreesOnlyOwnLocks) {
+  auto cc = two_pl();
+  ASSERT_TRUE(acquire(*cc, 1, 1, txn::AccessMode::kRead).is_ok());
+  ASSERT_TRUE(acquire(*cc, 2, 1, txn::AccessMode::kRead).is_ok());
+  cc->end(tid(1), true);
+  // Txn 2 still holds its shared lock: a writer conflicts...
+  EXPECT_EQ(acquire(*cc, 3, 1, txn::AccessMode::kWrite).code(),
+            ErrorCode::kDeadlock);
+  // ...and, now the sole holder, txn 2 can upgrade.
+  EXPECT_TRUE(acquire(*cc, 2, 1, txn::AccessMode::kWrite).is_ok());
+}
+
+// A holder re-acquiring a shared lock others also hold is re-entrant: it
+// must not count twice. Otherwise, once the other reader leaves, the
+// upgrade sees two holders — refused without waiting, and with waiting
+// the requester is "older than all" but itself and blocks forever (the
+// ctest TIMEOUT turns that hang into a failure).
+TEST(ConcurrencyControl, TwoPlReentrantSharedLockAllowsSoleHolderUpgrade) {
+  for (const bool may_wait : {false, true}) {
+    auto cc = two_pl();
+    ASSERT_TRUE(acquire(*cc, 1, 1, txn::AccessMode::kRead, may_wait).is_ok());
+    ASSERT_TRUE(acquire(*cc, 2, 1, txn::AccessMode::kRead, may_wait).is_ok());
+    ASSERT_TRUE(acquire(*cc, 1, 1, txn::AccessMode::kRead, may_wait).is_ok());
+    cc->end(tid(2), true);
+    EXPECT_TRUE(acquire(*cc, 1, 1, txn::AccessMode::kWrite, may_wait).is_ok())
+        << "may_wait=" << may_wait;
+    EXPECT_EQ(cc->stats().lock_waits, 0u) << "may_wait=" << may_wait;
+    cc->end(tid(1), true);
+    EXPECT_EQ(cc->locked_count(), 0u) << "may_wait=" << may_wait;
+  }
+}
+
+// The lock table holds only live resources: every entry goes once its last
+// holder ends, including one a blocked waiter was granted, and OCC reads
+// never create entries.
+TEST(ConcurrencyControl, LockTableEmptyOnceEveryTxnEnds) {
+  for (const txn::CcProtocol protocol :
+       {txn::CcProtocol::k2pl, txn::CcProtocol::kOcc}) {
+    auto cc = txn::make_concurrency_control(protocol);
+    const char* name = txn::to_string(protocol);
+    for (std::uint32_t n = 1; n <= 4; ++n) {
+      ASSERT_TRUE(acquire(*cc, 10, n, txn::AccessMode::kRead).is_ok()) << name;
+      ASSERT_TRUE(acquire(*cc, 11, n, txn::AccessMode::kRead).is_ok()) << name;
+      ASSERT_TRUE(acquire(*cc, 12, n + 10, txn::AccessMode::kWrite).is_ok())
+          << name;
+    }
+    cc->end(tid(10), true);
+    cc->end(tid(11), false);
+    cc->end(tid(12), true);
+    EXPECT_EQ(cc->locked_count(), 0u) << name;
+
+    // Txn 2 is older than holder 5, so it blocks until 5 ends and is then
+    // granted (a write under 2PL, a read that waits out the writer under
+    // OCC).
+    const txn::AccessMode waiter_mode = protocol == txn::CcProtocol::k2pl
+                                            ? txn::AccessMode::kWrite
+                                            : txn::AccessMode::kRead;
+    ASSERT_TRUE(acquire(*cc, 5, 1, txn::AccessMode::kWrite).is_ok()) << name;
+    const std::uint64_t begun = cc->stats().begun;
+    std::thread older([&] {
+      EXPECT_TRUE(acquire(*cc, 2, 1, waiter_mode, /*may_wait=*/true).is_ok());
+      cc->end(tid(2), true);
+    });
+    while (cc->stats().begun < begun + 1) std::this_thread::yield();
+    cc->end(tid(5), true);
+    older.join();
+    EXPECT_GE(cc->stats().lock_waits, 1u) << name;
+    EXPECT_EQ(cc->locked_count(), 0u) << name;
+  }
+}
+
+/// Model check: non-waiting grants must agree with a simple reference
+/// model of 2PL compatibility (S/S compatible, anything with X conflicts,
+/// re-entrant by holder, sole-holder upgrades), and the lock table must
+/// hold exactly the resources the model says are held.
+TEST(LockModelCheck, AgreesWithReferenceModel) {
+  Rng rng(31337);
+  auto cc = two_pl();
+
+  struct ModelEntry {
+    bool exclusive = false;
+    std::vector<std::uint64_t> holders;
+  };
+  std::map<std::uint32_t, ModelEntry> model;  // resource -> holders
+  const std::vector<std::uint64_t> active{1, 2, 3, 4, 5};
+
+  for (int op = 0; op < 4000; ++op) {
+    const std::uint64_t txn = active[static_cast<size_t>(rng.uniform(0, 4))];
+    const auto resource = static_cast<std::uint32_t>(rng.uniform(0, 20));
+    if (rng.chance(0.15)) {
+      // Release everything this txn holds.
+      cc->end(tid(txn), true);
+      for (auto& [r, entry] : model) {
+        entry.holders.erase(
+            std::remove(entry.holders.begin(), entry.holders.end(), txn),
+            entry.holders.end());
+        if (entry.holders.empty()) entry.exclusive = false;
+      }
+      continue;
+    }
+    const txn::AccessMode mode =
+        rng.chance(0.5) ? txn::AccessMode::kRead : txn::AccessMode::kWrite;
+    const Status st = acquire(*cc, txn, resource, mode);
+
+    ModelEntry& entry = model[resource];
+    const bool holds = std::find(entry.holders.begin(), entry.holders.end(),
+                                 txn) != entry.holders.end();
+    bool expect_ok;
+    if (entry.holders.empty()) {
+      expect_ok = true;
+    } else if (holds) {
+      // Re-entrant; upgrade allowed only as sole holder.
+      expect_ok = mode == txn::AccessMode::kRead || entry.exclusive ||
+                  entry.holders.size() == 1;
+    } else {
+      expect_ok = mode == txn::AccessMode::kRead && !entry.exclusive;
+    }
+    EXPECT_EQ(st.is_ok(), expect_ok)
+        << "op " << op << " txn " << txn << " resource " << resource;
+    if (st.is_ok()) {
+      if (!holds) entry.holders.push_back(txn);
+      if (mode == txn::AccessMode::kWrite) entry.exclusive = true;
+    }
+    const auto held = static_cast<size_t>(
+        std::count_if(model.begin(), model.end(),
+                      [](const auto& kv) { return !kv.second.holders.empty(); }));
+    ASSERT_EQ(cc->locked_count(), held) << "op " << op;
+  }
+}
+
 // --- wait-die deadlock freedom under stress --------------------------------
 
 // 8 threads x 200 transactions over 8 hot rows, each transaction locking a
@@ -239,6 +456,7 @@ TEST_P(WaitDieStress, NoDeadlockAndNoLostTransactions) {
   EXPECT_EQ(stats.committed, committed.load());
   EXPECT_EQ(stats.aborts, aborted.load());
   EXPECT_GT(committed.load(), 0u);
+  EXPECT_EQ(cc->locked_count(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, WaitDieStress,
