@@ -119,6 +119,23 @@ void BM_BufferCacheFetchSpread(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferCacheFetchSpread);
 
+/// Every fetch misses and evicts: a cyclic scan over twice the capacity
+/// defeats LRU. Picking the victim is O(1), so the per-fetch time at 2048
+/// frames should match the time at 256.
+void BM_BufferCacheEvictMiss(benchmark::State& state) {
+  NullPageStore store;
+  const auto capacity = static_cast<std::uint32_t>(state.range(0));
+  storage::BufferCache cache(&store, capacity, [](Lsn) {});
+  std::uint32_t block = 0;
+  for (auto _ : state) {
+    auto ref = cache.fetch(PageId{FileId{0}, block});
+    benchmark::DoNotOptimize(ref.value().page());
+    block = (block + 1) % (2 * capacity);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BufferCacheEvictMiss)->Arg(256)->Arg(2048);
+
 void BM_BufferCacheCheckpointSweep(benchmark::State& state) {
   NullPageStore store;
   sim::VirtualClock clock;
@@ -408,7 +425,10 @@ void BM_TpccNewOrder(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TpccNewOrder);
+// Each committed New-Order grows the database, so the iteration count is
+// fixed: every repetition loads afresh and measures the same 1,000
+// transactions over the same states.
+BENCHMARK(BM_TpccNewOrder)->Iterations(1000)->Repetitions(5);
 
 }  // namespace
 

@@ -24,6 +24,16 @@ Checks, per results/bench_*.json file:
 Exit status 0 = all files pass; 1 = any check failed or no files found.
 
 Usage: check_results.py [results-dir]   (default: ./results)
+       check_results.py --compare <before-dir> <after-dir>
+
+--compare checks that a change left the simulated outputs alone: every
+field of every results/bench_*.json in the two directories must be equal
+once the host-time keys (HOST_TIME_KEYS) are stripped at every depth.
+bench_micro.json is all host time and is skipped, and so are bench_cc rows
+with workers > 1, whose thread interleaving is nondeterministic. Any
+difference, or a file present on one side only, fails. The host-time
+wall_seconds / busy_seconds of each file are printed as before/after
+deltas but never gate, because host timings are noisy.
 """
 
 import json
@@ -187,7 +197,101 @@ def check_cc(path: pathlib.Path, doc: dict) -> list[str]:
     return errors
 
 
+HOST_TIME_KEYS = frozenset(("wall_seconds", "busy_seconds", "speedup",
+                            "max_experiment_seconds", "jobs"))
+HOST_TIME_REPORTED = ("wall_seconds", "busy_seconds")
+MAX_DIFFS_SHOWN = 10
+
+
+def simulated_view(name: str, doc):
+    """The document with host-time keys removed at every depth and, for
+    bench_cc.json, the nondeterministic multi-worker rows dropped."""
+    def strip(node):
+        if isinstance(node, dict):
+            return {k: strip(v) for k, v in node.items()
+                    if k not in HOST_TIME_KEYS}
+        if isinstance(node, list):
+            return [strip(v) for v in node]
+        return node
+
+    view = strip(doc)
+    if name == "bench_cc.json" and isinstance(view.get("runs"), list):
+        view["runs"] = [run for run in view["runs"]
+                        if not (isinstance(run, dict)
+                                and isinstance(run.get("workers"), int)
+                                and run["workers"] > 1)]
+    return view
+
+
+def diff_paths(before, after, path: str = ""):
+    """Yields (path, before, after) for every leaf where the two differ."""
+    if isinstance(before, dict) and isinstance(after, dict):
+        for key in sorted(set(before) | set(after), key=str):
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in before or key not in after:
+                yield sub, before.get(key, "<absent>"), after.get(key,
+                                                                  "<absent>")
+            else:
+                yield from diff_paths(before[key], after[key], sub)
+    elif isinstance(before, list) and isinstance(after, list):
+        if len(before) != len(after):
+            yield f"{path}.length", len(before), len(after)
+        for i, (b, a) in enumerate(zip(before, after)):
+            yield from diff_paths(b, a, f"{path}[{i}]")
+    elif before != after or type(before) is not type(after):
+        yield path, before, after
+
+
+def compare(before_dir: pathlib.Path, after_dir: pathlib.Path) -> int:
+    names = sorted({p.name for d in (before_dir, after_dir)
+                    for p in d.glob("bench_*.json")} - {"bench_micro.json"})
+    if not names:
+        print(f"check_results: no bench_*.json files in {before_dir} or "
+              f"{after_dir}", file=sys.stderr)
+        return 1
+    differences = 0
+    for name in names:
+        docs = []
+        for d in (before_dir, after_dir):
+            try:
+                docs.append(json.loads((d / name).read_text()))
+            except (OSError, json.JSONDecodeError) as exc:
+                docs.append(None)
+                print(f"check_results: FAIL {d / name}: missing or invalid: "
+                      f"{exc}", file=sys.stderr)
+        if None in docs:
+            differences += 1
+            continue
+        diffs = list(diff_paths(simulated_view(name, docs[0]),
+                                simulated_view(name, docs[1])))
+        for path, b, a in diffs[:MAX_DIFFS_SHOWN]:
+            print(f"check_results: FAIL {name}: {path}: {b!r} -> {a!r}",
+                  file=sys.stderr)
+        if len(diffs) > MAX_DIFFS_SHOWN:
+            print(f"check_results: FAIL {name}: ... and "
+                  f"{len(diffs) - MAX_DIFFS_SHOWN} more", file=sys.stderr)
+        differences += len(diffs)
+        host = []
+        for key in HOST_TIME_REPORTED:
+            b, a = docs[0].get(key), docs[1].get(key)
+            if isinstance(b, (int, float)) and isinstance(a, (int, float)):
+                pct = f" ({(a - b) / b * 100:+.1f}%)" if b else ""
+                host.append(f"{key} {b:.2f} -> {a:.2f} s{pct}")
+        print(f"check_results: {name}: {len(diffs)} simulated difference(s)"
+              + (f"; host time (not gated): {', '.join(host)}"
+                 if host else ""))
+    print(f"check_results: {len(names)} file(s) compared, {differences} "
+          "simulated-field difference(s)")
+    return 1 if differences else 0
+
+
 def main() -> int:
+    if len(sys.argv) > 1 and sys.argv[1] == "--compare":
+        if len(sys.argv) != 4:
+            print("usage: check_results.py --compare <before-dir> <after-dir>",
+                  file=sys.stderr)
+            return 2
+        return compare(pathlib.Path(sys.argv[2]), pathlib.Path(sys.argv[3]))
     results_dir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "results")
     files = sorted(results_dir.glob("bench_*.json"))
     if not files:

@@ -1,6 +1,7 @@
 #include "common/codec.hpp"
 
 #include <array>
+#include <cstring>
 
 namespace vdb {
 
@@ -57,7 +58,8 @@ std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
 
 }  // namespace
 
-std::uint32_t crc32c(std::span<const std::uint8_t> data, std::uint32_t seed) {
+std::uint32_t crc32c_portable(std::span<const std::uint8_t> data,
+                              std::uint32_t seed) {
   static const auto kTables = make_crc_tables();
   const auto& t = kTables;
   std::uint32_t crc = ~seed;
@@ -81,6 +83,57 @@ std::uint32_t crc32c(std::span<const std::uint8_t> data, std::uint32_t seed) {
     --n;
   }
   return ~crc;
+}
+
+#if defined(__x86_64__)
+
+bool crc32c_hardware_supported() {
+  static const bool kSupported = [] {
+    __builtin_cpu_init();  // in case the first checksum runs at static init
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return kSupported;
+}
+
+// Compiled for SSE4.2 on its own (no build flag), so the binary still runs
+// on CPUs without it; crc32c() only calls it after the feature check. The
+// CRC32 instruction uses the Castagnoli polynomial with the same bit order
+// as the tables above, so both paths produce identical checksums.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_hardware(
+    std::span<const std::uint8_t> data, std::uint32_t seed) {
+  std::uint64_t crc = ~seed;
+  const std::uint8_t* p = data.data();
+  size_t n = data.size();
+  while (n >= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    crc = __builtin_ia32_crc32di(crc, word);
+    p += 8;
+    n -= 8;
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  while (n > 0) {
+    crc32 = __builtin_ia32_crc32qi(crc32, *p);
+    ++p;
+    --n;
+  }
+  return ~crc32;
+}
+
+#else
+
+bool crc32c_hardware_supported() { return false; }
+
+std::uint32_t crc32c_hardware(std::span<const std::uint8_t> data,
+                              std::uint32_t seed) {
+  return crc32c_portable(data, seed);
+}
+
+#endif
+
+std::uint32_t crc32c(std::span<const std::uint8_t> data, std::uint32_t seed) {
+  return crc32c_hardware_supported() ? crc32c_hardware(data, seed)
+                                     : crc32c_portable(data, seed);
 }
 
 }  // namespace vdb

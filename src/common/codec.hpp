@@ -104,9 +104,23 @@ class Decoder {
   size_t pos_{0};
 };
 
-/// CRC32 (Castagnoli polynomial, table-driven). Used for page checksums and
-/// redo-record integrity.
+/// CRC32 (Castagnoli polynomial). Used for page checksums and redo-record
+/// integrity. Chains: crc32c(b, crc32c(a)) == crc32c(a followed by b).
+/// Runs the SSE4.2 CRC32 instruction when the CPU has it, else the
+/// portable table-driven loop; both give the same value.
 std::uint32_t crc32c(std::span<const std::uint8_t> data,
                      std::uint32_t seed = 0);
+
+/// The portable slicing-by-8 path, compiled on every host.
+std::uint32_t crc32c_portable(std::span<const std::uint8_t> data,
+                              std::uint32_t seed = 0);
+
+/// True when this CPU has the SSE4.2 CRC32 instruction.
+bool crc32c_hardware_supported();
+
+/// The SSE4.2 path. Call it only when crc32c_hardware_supported(); on
+/// other architectures it forwards to crc32c_portable.
+std::uint32_t crc32c_hardware(std::span<const std::uint8_t> data,
+                              std::uint32_t seed = 0);
 
 }  // namespace vdb

@@ -739,6 +739,13 @@ Lsn Database::pseudo_lsn() const {
   return next == 0 ? 0 : next - 1;
 }
 
+Result<const wal::UndoOp*> Database::log_row_change(TxnId txn, bool logging,
+                                                    wal::LogRecord& rec) {
+  rec.txn = txn;
+  const Lsn lsn = logging ? redo_->append(rec) : pseudo_lsn();
+  return txns_.record_op(txn, wal::UndoOp{lsn, rec.type, std::move(rec.dml)});
+}
+
 storage::TableHeap* Database::heap(TableId table) {
   auto it = heaps_.find(table.value);
   return it == heaps_.end() ? nullptr : it->second.get();
@@ -796,25 +803,14 @@ Result<RowId> Database::insert(TxnId txn, TableId table,
                                    txn::AccessMode::kWrite,
                                    /*may_wait=*/false));
 
-  wal::DmlChange change;
-  change.table = table;
-  change.rid = rid;
-  change.after.assign(row.begin(), row.end());
-
-  Lsn lsn;
-  if (logging) {
-    wal::LogRecord rec;
-    rec.type = wal::LogRecordType::kInsert;
-    rec.txn = txn;
-    rec.dml = change;
-    lsn = redo_->append(rec);
-  } else {
-    lsn = pseudo_lsn();
-  }
-
-  VDB_RETURN_IF_ERROR(txns_.record_op(
-      txn, wal::UndoOp{lsn, wal::LogRecordType::kInsert, change}));
-  VDB_RETURN_IF_ERROR(h->apply_insert(rid, row, lsn));
+  wal::LogRecord rec;
+  rec.type = wal::LogRecordType::kInsert;
+  rec.dml.table = table;
+  rec.dml.rid = rid;
+  rec.dml.after.assign(row.begin(), row.end());
+  VDB_ASSIGN_OR_RETURN(const wal::UndoOp* op,
+                       log_row_change(txn, logging, rec));
+  VDB_RETURN_IF_ERROR(h->apply_insert(rid, row, op->lsn));
   stats_.rows_inserted += 1;
   notify(RowChange{RowChange::Kind::kInsert, table, rid, {}, row});
   return rid;
@@ -847,31 +843,18 @@ Status Database::update(TxnId txn, TableId table, RowId rid,
     VDB_RETURN_IF_ERROR(restart_->check_access(rid.page));
   }
 
-  auto before = h->read(rid);
-  if (!before.is_ok()) return before.status();
-
-  wal::DmlChange change;
-  change.table = table;
-  change.rid = rid;
-  change.before = before.value();
-  change.after.assign(row.begin(), row.end());
-
-  Lsn lsn;
-  if (def.value()->logging) {
-    wal::LogRecord rec;
-    rec.type = wal::LogRecordType::kUpdate;
-    rec.txn = txn;
-    rec.dml = change;
-    lsn = redo_->append(rec);
-  } else {
-    lsn = pseudo_lsn();
-  }
-
-  VDB_RETURN_IF_ERROR(txns_.record_op(
-      txn, wal::UndoOp{lsn, wal::LogRecordType::kUpdate, change}));
-  VDB_RETURN_IF_ERROR(h->apply_update(rid, row, lsn));
+  wal::LogRecord rec;
+  rec.type = wal::LogRecordType::kUpdate;
+  rec.dml.table = table;
+  rec.dml.rid = rid;
+  VDB_ASSIGN_OR_RETURN(rec.dml.before, h->read(rid));
+  rec.dml.after.assign(row.begin(), row.end());
+  VDB_ASSIGN_OR_RETURN(const wal::UndoOp* op,
+                       log_row_change(txn, def.value()->logging, rec));
+  VDB_RETURN_IF_ERROR(h->apply_update(rid, row, op->lsn));
   stats_.rows_updated += 1;
-  notify(RowChange{RowChange::Kind::kUpdate, table, rid, change.before, row});
+  notify(
+      RowChange{RowChange::Kind::kUpdate, table, rid, op->change.before, row});
   return Status::ok();
 }
 
@@ -893,30 +876,17 @@ Status Database::erase(TxnId txn, TableId table, RowId rid) {
     VDB_RETURN_IF_ERROR(restart_->check_access(rid.page));
   }
 
-  auto before = h->read(rid);
-  if (!before.is_ok()) return before.status();
-
-  wal::DmlChange change;
-  change.table = table;
-  change.rid = rid;
-  change.before = before.value();
-
-  Lsn lsn;
-  if (def.value()->logging) {
-    wal::LogRecord rec;
-    rec.type = wal::LogRecordType::kDelete;
-    rec.txn = txn;
-    rec.dml = change;
-    lsn = redo_->append(rec);
-  } else {
-    lsn = pseudo_lsn();
-  }
-
-  VDB_RETURN_IF_ERROR(txns_.record_op(
-      txn, wal::UndoOp{lsn, wal::LogRecordType::kDelete, change}));
-  VDB_RETURN_IF_ERROR(h->apply_delete(rid, lsn));
+  wal::LogRecord rec;
+  rec.type = wal::LogRecordType::kDelete;
+  rec.dml.table = table;
+  rec.dml.rid = rid;
+  VDB_ASSIGN_OR_RETURN(rec.dml.before, h->read(rid));
+  VDB_ASSIGN_OR_RETURN(const wal::UndoOp* op,
+                       log_row_change(txn, def.value()->logging, rec));
+  VDB_RETURN_IF_ERROR(h->apply_delete(rid, op->lsn));
   stats_.rows_deleted += 1;
-  notify(RowChange{RowChange::Kind::kDelete, table, rid, change.before, {}});
+  notify(
+      RowChange{RowChange::Kind::kDelete, table, rid, op->change.before, {}});
   return Status::ok();
 }
 

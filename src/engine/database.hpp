@@ -376,6 +376,12 @@ class Database {
   void restart_sweep_tick(std::uint32_t batch);
 
   Lsn pseudo_lsn() const;  // for NOLOGGING changes: below any future record
+  /// Appends `rec` (a row change) to the redo stream unless the table is
+  /// NOLOGGING, then moves its row images into the transaction's undo list,
+  /// so each image is copied only where the caller built it. Returns the
+  /// stored undo op, which carries the change's LSN.
+  Result<const wal::UndoOp*> log_row_change(TxnId txn, bool logging,
+                                            wal::LogRecord& rec);
   void notify(const RowChange& change);
   Status apply_undo_op(TxnId txn, const wal::UndoOp& op, bool log_clr);
   Status handle_store_failures(

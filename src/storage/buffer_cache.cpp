@@ -55,7 +55,7 @@ Result<PageRef> BufferCache::fetch(PageId id) {
     stats_.hits += 1;
     hits_counter_->inc();
     last_frame_->pins += 1;
-    last_frame_->lru_tick = ++tick_;
+    lru_touch(last_frame_);
     return PageRef{this, id, &last_frame_->page};
   }
 
@@ -65,7 +65,7 @@ Result<PageRef> BufferCache::fetch(PageId id) {
     hits_counter_->inc();
     Frame& f = *it->second;
     f.pins += 1;
-    f.lru_tick = ++tick_;
+    lru_touch(&f);
     last_id_ = id;
     last_frame_ = &f;
     return PageRef{this, id, &f.page};
@@ -86,9 +86,9 @@ Result<PageRef> BufferCache::fetch(PageId id) {
   if (!st.is_ok()) return st;
   reads_counter_->inc();
   frame->pins = 1;
-  frame->lru_tick = ++tick_;
   Frame* raw = frame.get();
   frames_[id] = std::move(frame);
+  lru_push_back(raw);
   last_id_ = id;
   last_frame_ = raw;
   return PageRef{this, id, &raw->page};
@@ -182,14 +182,40 @@ void BufferCache::unpin(PageId id) {
   it->second->pins -= 1;
 }
 
-Status BufferCache::evict_one() {
-  Frame* victim = nullptr;
-  for (auto& [id, frame] : frames_) {
-    if (frame->pins > 0) continue;
-    if (victim == nullptr || frame->lru_tick < victim->lru_tick) {
-      victim = frame.get();
-    }
+void BufferCache::lru_unlink(Frame* frame) {
+  (frame->prev != nullptr ? frame->prev->next : lru_head_) = frame->next;
+  (frame->next != nullptr ? frame->next->prev : lru_tail_) = frame->prev;
+  frame->prev = nullptr;
+  frame->next = nullptr;
+}
+
+void BufferCache::lru_push_back(Frame* frame) {
+  frame->prev = lru_tail_;
+  frame->next = nullptr;
+  (lru_tail_ != nullptr ? lru_tail_->next : lru_head_) = frame;
+  lru_tail_ = frame;
+}
+
+void BufferCache::lru_touch(Frame* frame) {
+  if (frame == lru_tail_) return;
+  lru_unlink(frame);
+  lru_push_back(frame);
+}
+
+void BufferCache::drop_frame(Frame* frame) {
+  if (frame == last_frame_) {
+    last_frame_ = nullptr;
+    last_id_ = PageId::invalid();
   }
+  lru_unlink(frame);
+  const PageId id = frame->id;  // the key must outlive the frame it names
+  frames_.erase(id);
+}
+
+Status BufferCache::evict_one() {
+  // Pinned frames are skipped; few are pinned at once, so the walk is short.
+  Frame* victim = lru_head_;
+  while (victim != nullptr && victim->pins > 0) victim = victim->next;
   if (victim == nullptr) {
     return make_error(ErrorCode::kInternal, "buffer cache: all pages pinned");
   }
@@ -207,11 +233,7 @@ Status BufferCache::evict_one() {
     }
   }
   stats_.evictions += 1;
-  if (victim == last_frame_) {
-    last_frame_ = nullptr;
-    last_id_ = PageId::invalid();
-  }
-  frames_.erase(victim->id);
+  drop_frame(victim);
   return Status::ok();
 }
 
@@ -276,27 +298,21 @@ CheckpointResult BufferCache::flush_file(FileId file) {
 }
 
 void BufferCache::discard_file(FileId file) {
-  for (auto it = frames_.begin(); it != frames_.end();) {
-    if (it->first.file == file) {
-      VDB_CHECK_MSG(it->second->pins == 0, "discarding pinned page");
-      it = frames_.erase(it);
-    } else {
-      ++it;
+  for (Frame* f = lru_head_; f != nullptr;) {
+    Frame* next = f->next;
+    if (f->id.file == file) {
+      VDB_CHECK_MSG(f->pins == 0, "discarding pinned page");
+      drop_frame(f);
     }
+    f = next;
   }
-  last_frame_ = nullptr;
-  last_id_ = PageId::invalid();
 }
 
 void BufferCache::discard_page(PageId id) {
   auto it = frames_.find(id);
   if (it == frames_.end()) return;
   VDB_CHECK_MSG(it->second->pins == 0, "discarding pinned page");
-  if (it->second.get() == last_frame_) {
-    last_frame_ = nullptr;
-    last_id_ = PageId::invalid();
-  }
-  frames_.erase(it);
+  drop_frame(it->second.get());
   // A stale id may linger in the dirty runs; the sweep helpers already skip
   // entries whose frame is gone or clean.
 }
@@ -306,6 +322,8 @@ void BufferCache::discard_all() {
     VDB_CHECK_MSG(frame->pins == 0, "discarding pinned page");
   }
   frames_.clear();
+  lru_head_ = nullptr;
+  lru_tail_ = nullptr;
   last_frame_ = nullptr;
   last_id_ = PageId::invalid();
   dirty_sorted_.clear();

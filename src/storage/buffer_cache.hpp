@@ -1,7 +1,9 @@
 // Database buffer cache (Oracle: the buffer cache component of the SGA).
 //
 // Fixed number of page frames with LRU replacement, pin counts, and dirty
-// tracking. Enforces the WAL rule: before a dirty page reaches disk, the
+// tracking. Recency is an intrusive doubly linked list through the frames
+// (least recently fetched at the head), so picking a victim is O(1) in the
+// cache size. Enforces the WAL rule: before a dirty page reaches disk, the
 // log must be flushed past that page's LSN (wal_flush hook).
 //
 // Checkpoints write every dirty frame as *background* I/O on the data
@@ -12,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -159,15 +160,24 @@ class BufferCache {
     PageId id{PageId::invalid()};
     bool dirty = false;
     std::uint32_t pins = 0;
-    std::uint64_t lru_tick = 0;
     SimTime dirty_since = 0;   // first-dirty instant
     Lsn rec_lsn = kInvalidLsn; // LSN of the record that first dirtied it
+    // Recency list links (see lru_head_).
+    Frame* prev = nullptr;
+    Frame* next = nullptr;
   };
 
   void unpin(PageId id);
-  /// Frees one frame, writing it out first if dirty. Fails if everything is
-  /// pinned.
+  /// Frees the least recently fetched unpinned frame, writing it out first
+  /// if dirty. Fails if everything is pinned.
   Status evict_one();
+  /// Drops a resident frame from the frame table and the recency list
+  /// without writing it.
+  void drop_frame(Frame* frame);
+  void lru_unlink(Frame* frame);
+  void lru_push_back(Frame* frame);
+  /// Marks `frame` most recently fetched.
+  void lru_touch(Frame* frame);
   /// Folds pages dirtied since the last sweep into `dirty_sorted_` and
   /// drops stale entries, leaving the exact dirty set in PageId order.
   void merge_dirty_runs();
@@ -176,8 +186,13 @@ class BufferCache {
   std::uint32_t capacity_;
   sim::IoMode io_mode_ = sim::IoMode::kForeground;
   std::function<void(Lsn)> wal_flush_;
-  std::uint64_t tick_{0};
   std::unordered_map<PageId, std::unique_ptr<Frame>> frames_;
+  /// Every resident frame, ordered by last fetch: the head is the least
+  /// recently fetched, the tail the most recent. Each fetch moves its frame
+  /// to the tail, so the first unpinned frame from the head is the one the
+  /// smallest-last-fetch rule would pick.
+  Frame* lru_head_ = nullptr;
+  Frame* lru_tail_ = nullptr;
   /// One-entry fast path for fetch: TPC-C touches the same page in short
   /// bursts (row read → update → index maintenance), so remembering the
   /// last frame skips the hash lookup on the hottest call in the system.

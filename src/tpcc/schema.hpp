@@ -174,11 +174,13 @@ inline constexpr const char* kOrderLineTable = "order_line";
 inline constexpr const char* kItemTable = "item";
 inline constexpr const char* kStockTable = "stock";
 
-/// Serializes any row type to bytes.
+/// Serializes any row type to bytes. Reserves the row's slot size up
+/// front, so the encoder never regrows the vector field by field.
 template <typename Row>
 std::vector<std::uint8_t> to_bytes(const Row& row) {
   std::vector<std::uint8_t> out;
   Encoder enc(&out);
+  enc.reserve(Row::kSlotSize);
   row.encode(enc);
   return out;
 }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "storage/buffer_cache.hpp"
 #include "storage/page.hpp"
 
@@ -263,6 +266,144 @@ TEST_F(BufferCacheTest, LastFetchedFastPathSurvivesEviction) {
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(store_.loads, loads + 1);  // reloaded, not stale fast-path frame
   EXPECT_EQ(back.value()->lsn(), 321u);  // dirty eviction preserved it
+}
+
+/// PageStore that only records which pages the cache reads and writes, in
+/// order. Evictions show up as a dirty store (when the victim was dirty)
+/// followed by the miss's load.
+class RecordingStore : public PageStore {
+ public:
+  Status load_page(PageId id, Page* out, sim::IoMode) override {
+    events.push_back({'L', id});
+    *out = Page{};
+    return Status::ok();
+  }
+  Status store_page(PageId id, Page&, sim::IoMode, bool) override {
+    events.push_back({'S', id});
+    return Status::ok();
+  }
+  std::vector<std::pair<char, PageId>> events;
+};
+
+/// Reference model of the replacement rule: the victim is the unpinned
+/// frame with the smallest last-fetch tick; dirty victims are written,
+/// discarded frames are dropped unwritten.
+struct LruModel {
+  struct Frame {
+    std::uint64_t tick = 0;
+    int pins = 0;
+    bool dirty = false;
+  };
+
+  /// Applies one fetch; returns false when every frame is pinned (the
+  /// cache refuses the fetch and changes nothing).
+  bool fetch(PageId id) {
+    tick += 1;
+    auto it = frames.find(id);
+    if (it != frames.end()) {
+      it->second.tick = tick;
+      return true;
+    }
+    if (frames.size() >= capacity) {
+      auto victim = frames.end();
+      for (auto f = frames.begin(); f != frames.end(); ++f) {
+        if (f->second.pins > 0) continue;
+        if (victim == frames.end() || f->second.tick < victim->second.tick) {
+          victim = f;
+        }
+      }
+      if (victim == frames.end()) return false;
+      if (victim->second.dirty) events.push_back({'S', victim->first});
+      frames.erase(victim);
+    }
+    events.push_back({'L', id});
+    frames[id] = Frame{tick, 0, false};
+    return true;
+  }
+
+  size_t capacity = 0;
+  std::uint64_t tick = 0;
+  std::map<PageId, Frame> frames;
+  std::vector<std::pair<char, PageId>> events;
+};
+
+// Exact LRU: a seeded random mix of fetches, held pins, dirtying and every
+// discard flavour over three times the capacity must evict exactly the
+// pages, in exactly the order, that the smallest-last-fetch rule picks. A
+// recency list that kept a discarded frame linked would pick a stale or
+// freed frame and diverge (or crash).
+TEST(BufferCacheLru, EvictionOrderMatchesReferenceModel) {
+  constexpr std::uint32_t kCapacity = 8;
+  constexpr std::uint32_t kBlocksPerFile = 12;  // 2 files: 3x capacity
+  RecordingStore store;
+  BufferCache cache(&store, kCapacity, [](Lsn) {});
+  LruModel model;
+  model.capacity = kCapacity;
+  std::vector<PageRef> held;
+  Rng rng(20261020);
+  auto random_page = [&] {
+    return PageId{FileId{static_cast<std::uint32_t>(rng.uniform(0, 1))},
+                  static_cast<std::uint32_t>(
+                      rng.uniform(0, kBlocksPerFile - 1))};
+  };
+  auto release = [&](size_t i) {
+    model.frames[held[i].id()].pins -= 1;
+    held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  auto pinned = [&](PageId id) {
+    auto it = model.frames.find(id);
+    return it != model.frames.end() && it->second.pins > 0;
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const std::int64_t op = rng.uniform(0, 99);
+    if (op < 55) {  // fetch, sometimes holding the pin or dirtying
+      const PageId id = random_page();
+      const bool ok = model.fetch(id);
+      auto ref = cache.fetch(id);
+      ASSERT_EQ(ref.is_ok(), ok) << "step " << step;
+      if (!ok) {
+        EXPECT_EQ(ref.code(), ErrorCode::kInternal);
+        continue;
+      }
+      if (rng.chance(0.3)) {
+        cache.mark_dirty(id, step);
+        model.frames[id].dirty = true;
+      }
+      if (held.size() < kCapacity && rng.chance(0.25)) {
+        model.frames[id].pins += 1;
+        held.push_back(std::move(ref).value());
+      }
+    } else if (op < 75) {  // unpin
+      if (!held.empty()) {
+        release(static_cast<size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(held.size()) - 1)));
+      }
+    } else if (op < 90) {  // discard one page
+      const PageId id = random_page();
+      if (pinned(id)) continue;
+      cache.discard_page(id);
+      model.frames.erase(id);
+    } else if (op < 97) {  // discard a file
+      const FileId file{static_cast<std::uint32_t>(rng.uniform(0, 1))};
+      for (size_t i = held.size(); i-- > 0;) {
+        if (held[i].id().file == file) release(i);
+      }
+      cache.discard_file(file);
+      std::erase_if(model.frames,
+                    [&](const auto& kv) { return kv.first.file == file; });
+    } else {  // discard everything
+      while (!held.empty()) release(held.size() - 1);
+      cache.discard_all();
+      model.frames.clear();
+    }
+    ASSERT_EQ(store.events.size(), model.events.size()) << "step " << step;
+    ASSERT_TRUE(store.events.empty() ||
+                store.events.back() == model.events.back())
+        << "step " << step;
+  }
+  EXPECT_EQ(store.events, model.events);
+  EXPECT_GT(cache.stats().evictions, 1000u);
 }
 
 TEST_F(BufferCacheTest, LoadFailurePropagates) {

@@ -2,12 +2,16 @@
 
 #include <map>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/table_printer.hpp"
 #include "common/types.hpp"
+#include "storage/page.hpp"
 
 namespace vdb {
 namespace {
@@ -237,6 +241,66 @@ TEST(Crc32c, KnownProperties) {
   EXPECT_EQ(crc32c(a), crc32c(a));
   EXPECT_NE(crc32c(a), crc32c(b));
   EXPECT_NE(crc32c(a), crc32c({}));
+}
+
+// The check value of the CRC-32C catalogue: pins the on-disk checksums
+// (page headers, redo records) whichever path computes them.
+TEST(Crc32c, CheckValue) {
+  const std::string s = "123456789";
+  const std::span<const std::uint8_t> bytes{
+      reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+  EXPECT_EQ(crc32c_portable(bytes), 0xE3069283u);
+  EXPECT_EQ(crc32c(bytes), 0xE3069283u);
+  EXPECT_EQ(crc32c_portable({}), 0u);
+}
+
+std::vector<std::uint8_t> random_bytes(size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+  return out;
+}
+
+TEST(Crc32c, PortableSeedChaining) {
+  const auto data = random_bytes(1000, 11);
+  const std::span<const std::uint8_t> all{data};
+  for (size_t cut : {0u, 1u, 7u, 8u, 9u, 500u, 999u, 1000u}) {
+    EXPECT_EQ(crc32c_portable(all.subspan(cut),
+                              crc32c_portable(all.first(cut))),
+              crc32c_portable(all))
+        << "cut=" << cut;
+  }
+}
+
+// The SSE4.2 path must give the portable path's value for every length and
+// alignment the word loop and byte tail can meet, and on a page body.
+TEST(Crc32c, HardwareMatchesPortable) {
+  if (!crc32c_hardware_supported()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 CRC32 instruction; only the portable "
+                    "path runs here";
+  }
+  const auto data = random_bytes(1100 + 8, 12);
+  const std::span<const std::uint8_t> all{data};
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const auto part = all.subspan(offset, len);
+      ASSERT_EQ(crc32c_hardware(part), crc32c_portable(part))
+          << "offset=" << offset << " len=" << len;
+      ASSERT_EQ(crc32c_hardware(part, 0x12345678u),
+                crc32c_portable(part, 0x12345678u))
+          << "seeded, offset=" << offset << " len=" << len;
+    }
+  }
+  const auto page = random_bytes(storage::Page::kSize - 4, 13);
+  EXPECT_EQ(crc32c_hardware(page), crc32c_portable(page));
+  EXPECT_EQ(crc32c(page), crc32c_portable(page));
+  for (size_t cut : {0u, 1u, 7u, 8u, 9u, 500u, 1099u}) {
+    const auto whole = all.first(1100);
+    EXPECT_EQ(crc32c_hardware(whole.subspan(cut),
+                              crc32c_hardware(whole.first(cut))),
+              crc32c_hardware(whole))
+        << "cut=" << cut;
+  }
 }
 
 TEST(TablePrinter, RendersAlignedTable) {

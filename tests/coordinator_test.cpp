@@ -353,6 +353,61 @@ TEST(ConcurrencyControl, LockTableEmptyOnceEveryTxnEnds) {
   }
 }
 
+// Freed lock-table entries are reused for later locks. A reused entry must
+// carry no holder, exclusive bit or waiter count from its last life, both
+// after a plain release and after a waiter blocked on it and was woken.
+TEST(ConcurrencyControl, RecycledLockEntriesCarryNoState) {
+  for (const txn::CcProtocol protocol :
+       {txn::CcProtocol::k2pl, txn::CcProtocol::kOcc}) {
+    auto cc = txn::make_concurrency_control(protocol);
+    const char* name = txn::to_string(protocol);
+    // T1 takes X(A) and ends; T2 and T3 then both take S(A) on the reused
+    // entry. T2's upgrade to X, which may not wait, dies while T3 holds A.
+    // OCC reads lock nothing, so there T3 writes A first and T2's write
+    // dies against it.
+    auto reuse = [&](std::uint64_t t1, std::uint64_t t2, std::uint64_t t3,
+                     const char* when) {
+      ASSERT_TRUE(acquire(*cc, t1, 1, txn::AccessMode::kWrite).is_ok())
+          << name << " " << when;
+      cc->end(tid(t1), true);
+      ASSERT_TRUE(acquire(*cc, t2, 1, txn::AccessMode::kRead).is_ok())
+          << name << " " << when;
+      ASSERT_TRUE(acquire(*cc, t3, 1, txn::AccessMode::kRead).is_ok())
+          << name << " " << when;
+      if (protocol == txn::CcProtocol::kOcc) {
+        ASSERT_TRUE(acquire(*cc, t3, 1, txn::AccessMode::kWrite).is_ok())
+            << name << " " << when;
+      }
+      EXPECT_EQ(acquire(*cc, t2, 1, txn::AccessMode::kWrite).code(),
+                ErrorCode::kDeadlock)
+          << name << " " << when;
+      cc->end(tid(t2), false);
+      cc->end(tid(t3), true);
+      EXPECT_EQ(cc->locked_count(), 0u) << name << " " << when;
+    };
+    reuse(1, 2, 3, "after a release");
+
+    // Txn 10 is older than holder 20: it blocks on A until 20 ends, is
+    // granted, and ends, leaving A's entry to be recycled once more.
+    const txn::AccessMode waiter_mode = protocol == txn::CcProtocol::k2pl
+                                            ? txn::AccessMode::kWrite
+                                            : txn::AccessMode::kRead;
+    ASSERT_TRUE(acquire(*cc, 20, 1, txn::AccessMode::kWrite).is_ok()) << name;
+    const std::uint64_t begun = cc->stats().begun;
+    std::thread older([&] {
+      EXPECT_TRUE(acquire(*cc, 10, 1, waiter_mode, /*may_wait=*/true).is_ok());
+      cc->end(tid(10), true);
+    });
+    while (cc->stats().begun < begun + 1) std::this_thread::yield();
+    cc->end(tid(20), true);
+    older.join();
+    EXPECT_GE(cc->stats().lock_waits, 1u) << name;
+    EXPECT_EQ(cc->locked_count(), 0u) << name;
+
+    reuse(30, 31, 32, "after a woken waiter");
+  }
+}
+
 /// Model check: non-waiting grants must agree with a simple reference
 /// model of 2PL compatibility (S/S compatible, anything with X conflicts,
 /// re-entrant by holder, sole-holder upgrades), and the lock table must
